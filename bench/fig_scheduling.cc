@@ -81,13 +81,11 @@ void Main(const BenchFlags& flags) {
   // scheduler grid. Refuse the shared flags the sweep fixes; --arrival,
   // --queue-cap, and --sched-classes still shape the open loop.
   if (flags.load_model != "closed" || flags.offered_tps != 0.0 ||
-      flags.batch_size != BenchFlags{}.batch_size ||
-      flags.scheduler != BenchFlags{}.scheduler ||
-      flags.shed_policy != BenchFlags{}.shed_policy) {
+      flags.scheduler != BenchFlags{}.scheduler) {
     std::fprintf(stderr,
                  "scheduling: this bench sweeps the scheduler and load "
-                 "model itself — --load-model, --offered-tps, --batch-size, "
-                 "--scheduler, and --shed-policy are fixed by the sweep "
+                 "model itself — --load-model, --offered-tps, and "
+                 "--scheduler are fixed by the sweep "
                  "(use --arrival / --queue-cap / --sched-classes / "
                  "--concurrency to shape it)\n");
     std::exit(1);

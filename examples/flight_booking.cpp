@@ -77,7 +77,7 @@ int main() {
     return 1;
   }
   auto stats = env->driver->Run(spec.warmup, spec.measure);
-  env->driver->DrainAndStop();
+  env->driver->Quiesce();
 
   const auto* protocol =
       dynamic_cast<const core::ChillerProtocol*>(env->protocol.get());

@@ -1,5 +1,6 @@
 #include "cc/driver.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "cc/cluster.h"
@@ -24,6 +25,7 @@ Driver::Driver(Cluster* cluster, Protocol* protocol, WorkloadSource* source,
   CHILLER_CHECK(model_ != nullptr);
   for (uint32_t e = 0; e < per_engine_.size(); ++e) {
     per_engine_[e].rng.Seed(seed + 0x9e3779b97f4a7c15ULL * (e + 1));
+    ClearStats(&per_engine_[e]);
   }
   obs::MetricsRegistry* reg = cluster_->metrics();
   m_commits_ = reg->GetCounter("driver.commits");
@@ -121,16 +123,6 @@ void Driver::NoteQueueDelay(EngineId e, SimTime delay) {
   if (measuring_) per_engine_[e].stats.queue_delay.Add(delay);
 }
 
-void Driver::NoteShedEvicted(EngineId e, bool counted_admitted) {
-  m_shed_->Add(e);  // lifetime, independent of the measuring toggle
-  EngineState& es = per_engine_[e];
-  // The admission is taken back only if this window counted it (the entry
-  // records that at enqueue time); the underflow guard covers an entry
-  // counted before a ResetStats() that its flag cannot see.
-  if (counted_admitted && es.stats.admitted > 0) --es.stats.admitted;
-  if (measuring_) ++es.stats.shed;
-}
-
 void Driver::OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t) {
   if (observer_ && t->outcome == txn::Outcome::kCommitted) observer_(*t);
   EngineState& es = per_engine_[e];
@@ -195,8 +187,9 @@ void Driver::OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t) {
       break;
   }
   if (measuring_) {
-    es.stats.EnsureClass(t->txn_class, source_->ClassName(t->txn_class));
-    ClassStats& cs = es.stats.classes[t->txn_class];
+    std::vector<ClassStats>& classes = es.stats.classes;
+    if (classes.size() <= t->txn_class) classes.resize(t->txn_class + 1);
+    ClassStats& cs = classes[t->txn_class];
     switch (t->outcome) {
       case txn::Outcome::kCommitted:
         ++cs.commits;
@@ -226,13 +219,17 @@ const RunStats& Driver::stats() const {
   merged_ = RunStats();
   merged_.window = window_;
   merged_.open_loop = open_loop_;
-  for (uint32_t c = 0; c < source_->NumClasses(); ++c) {
-    merged_.EnsureClass(c, source_->ClassName(c));
+  size_t num_classes = source_->NumClasses();
+  for (const EngineState& es : per_engine_) {
+    num_classes = std::max(num_classes, es.stats.classes.size());
+  }
+  merged_.classes.resize(num_classes);
+  for (size_t c = 0; c < num_classes; ++c) {
+    merged_.classes[c].name = source_->ClassName(static_cast<uint32_t>(c));
   }
   for (const EngineState& es : per_engine_) {
     for (size_t c = 0; c < es.stats.classes.size(); ++c) {
       const ClassStats& cs = es.stats.classes[c];
-      merged_.EnsureClass(static_cast<uint32_t>(c), cs.name);
       ClassStats& m = merged_.classes[c];
       m.commits += cs.commits;
       m.conflict_aborts += cs.conflict_aborts;
@@ -293,10 +290,13 @@ void Driver::SetCommitObserver(CommitObserver observer) {
   observer_ = std::move(observer);
 }
 
+void Driver::ClearStats(EngineState* es) const {
+  es->stats = RunStats();
+  es->stats.classes.resize(source_->NumClasses());
+}
+
 void Driver::ResetStats() {
-  for (EngineState& es : per_engine_) {
-    es.stats = RunStats();
-  }
+  for (EngineState& es : per_engine_) ClearStats(&es);
 }
 
 RunStats Driver::Run(SimTime warmup, SimTime measure) {

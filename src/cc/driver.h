@@ -1,5 +1,5 @@
 // Workload driver: transaction slots, retries, measurement, with the load
-// model (closed loop, open loop, batched) injected as policy.
+// model (closed loop or open loop) injected as policy.
 #ifndef CHILLER_CC_DRIVER_H_
 #define CHILLER_CC_DRIVER_H_
 
@@ -112,11 +112,6 @@ class Driver {
   /// Records the total measured window length into stats().
   void set_measured_window(SimTime window) { window_ = window; }
 
-  /// Exact synonym of Quiesce(), kept for the classic Run() call sites
-  /// (integration tests call this before checking storage invariants).
-  /// There is deliberately no second drain path: this delegates.
-  void DrainAndStop() { Quiesce(); }
-
   /// Statistics of the current window, merged across the per-engine shards
   /// (engine-ascending, so the result is identical for any simulator shard
   /// count). Only call from outside the simulation or at control — it reads
@@ -198,15 +193,7 @@ class Driver {
   void NoteAdmitted(EngineId e);
   void NoteShed(EngineId e);
   void NoteQueueDelay(EngineId e, SimTime delay);
-  /// A queued request on engine `e` was evicted by a shed policy in favor
-  /// of a new arrival: counts a shed and, when the victim's admission was
-  /// counted in the current window (`counted_admitted`), takes that
-  /// admission back — per-engine `admitted` stays "requests that entered
-  /// service or still wait", consistent with `shed`.
-  void NoteShedEvicted(EngineId e, bool counted_admitted);
-  /// True while finished work counts into stats() (scheduled admission
-  /// queues record it per entry to keep eviction accounting exact across
-  /// warmup/measure boundaries).
+  /// True while finished work counts into stats().
   bool measuring() const { return measuring_; }
   /// Per-engine accounting reads, control-plane only (tests assert that
   /// sheds land on the engine a request was routed *to*).
@@ -231,6 +218,10 @@ class Driver {
   };
 
   void OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t);
+
+  /// Clears engine `es`'s window stats, with one unnamed ClassStats per
+  /// workload class; stats() attaches the class names when it merges.
+  void ClearStats(EngineState* es) const;
 
   /// Assigns the logical id and the trace sampling decision on the first
   /// sighting of a transaction (Draw for scheduled admission, Launch

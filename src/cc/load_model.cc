@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "cc/cluster.h"
 #include "common/logging.h"
+#include "schedule/scheduler.h"
 
 namespace chiller::cc {
 
@@ -206,9 +205,7 @@ void OpenLoop::AdmitFromQueue(EngineId e) {
 }
 
 bool OpenLoop::ClassAdmissible(const EngineState& s, uint32_t cls) const {
-  if (cls == schedule::kColdClass) return true;
-  if (!driver_->scheduler()->SerializeClasses()) return true;
-  return !s.inflight_classes.contains(cls);
+  return cls == schedule::kColdClass || !s.inflight_classes.contains(cls);
 }
 
 void OpenLoop::AdmitScheduled(EngineId e, std::shared_ptr<txn::Transaction> t) {
@@ -216,49 +213,23 @@ void OpenLoop::AdmitScheduled(EngineId e, std::shared_ptr<txn::Transaction> t) {
   const uint32_t cls = t->sched_class;
   if (s.free_slots > 0 && ClassAdmissible(s, cls)) {
     --s.free_slots;
-    if (cls != schedule::kColdClass &&
-        driver_->scheduler()->SerializeClasses()) {
-      ++s.inflight_classes[cls];
-    }
+    if (cls != schedule::kColdClass) ++s.inflight_classes[cls];
     driver_->NoteAdmitted(e);
     driver_->LaunchRouted(e, std::move(t), /*admission_delay=*/0);
     return;
   }
   if (s.sched_queue.size() < opts_.queue_cap) {
     driver_->NoteAdmitted(e);
-    s.sched_queue.push_back({std::move(t), driver_->cluster()->sim()->now(),
-                             driver_->measuring()});
+    s.sched_queue.push_back({std::move(t), driver_->cluster()->sim()->now()});
     m_queue_depth_->Add(e, 1);
     return;
   }
-  // Queue full: the shed policy chooses between the arrival and a queued
-  // victim of the opposite temperature.
-  std::vector<bool> hot(s.sched_queue.size());
-  for (size_t i = 0; i < s.sched_queue.size(); ++i) {
-    hot[i] = s.sched_queue[i].txn->sched_class != schedule::kColdClass;
+  if (t->traced) {
+    driver_->cluster()->trace()->Instant(e, driver_->cluster()->sim()->now(),
+                                         "shed", t->logical_id, t->attempt,
+                                         "shed");
   }
-  const int victim = schedule::PickVictim(
-      hot, cls != schedule::kColdClass, opts_.shed_policy);
-  obs::TraceRecorder* trace = driver_->cluster()->trace();
-  const SimTime now = driver_->cluster()->sim()->now();
-  if (victim < 0) {
-    if (t->traced) {
-      trace->Instant(e, now, "shed", t->logical_id, t->attempt, "shed");
-    }
-    driver_->NoteShed(e);
-    return;
-  }
-  const ScheduledRequest& evicted =
-      s.sched_queue[static_cast<size_t>(victim)];
-  if (evicted.txn->traced) {
-    trace->Instant(e, now, "shed_evicted", evicted.txn->logical_id,
-                   evicted.txn->attempt, "shed");
-  }
-  driver_->NoteShedEvicted(e, evicted.counted);
-  s.sched_queue.erase(s.sched_queue.begin() + victim);
-  driver_->NoteAdmitted(e);
-  s.sched_queue.push_back({std::move(t), driver_->cluster()->sim()->now(),
-                           driver_->measuring()});
+  driver_->NoteShed(e);
 }
 
 void OpenLoop::TryAdmitScheduled(EngineId e) {
@@ -282,10 +253,7 @@ void OpenLoop::TryAdmitScheduled(EngineId e) {
         driver_->cluster()->sim()->now() - req.enqueued;
     --s.free_slots;
     const uint32_t cls = req.txn->sched_class;
-    if (cls != schedule::kColdClass &&
-        driver_->scheduler()->SerializeClasses()) {
-      ++s.inflight_classes[cls];
-    }
+    if (cls != schedule::kColdClass) ++s.inflight_classes[cls];
     driver_->LaunchRouted(e, std::move(req.txn), waited);
   }
 }
@@ -317,89 +285,6 @@ void OpenLoop::OnSlotFree(EngineId e, const txn::Transaction& t) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched
-// ---------------------------------------------------------------------------
-
-Batched::Batched(uint32_t batch_size) : batch_(batch_size) {
-  CHILLER_CHECK(batch_ >= 1);
-}
-
-void Batched::StartEngine(EngineId e) {
-  if (engines_.empty()) engines_.resize(driver_->cluster()->num_engines());
-  engines_[e].outstanding = 0;
-  LaunchBatch(e);
-}
-
-void Batched::LaunchBatch(EngineId e) {
-  if (driver_->scheduler() != nullptr) {
-    LaunchPackedBatch(e);
-    return;
-  }
-  EngineState& s = engines_[e];
-  s.outstanding = batch_;
-  for (uint32_t i = 0; i < batch_; ++i) driver_->LaunchFresh(e);
-}
-
-void Batched::LaunchPackedBatch(EngineId e) {
-  const schedule::Scheduler* sched = driver_->scheduler();
-  EngineState& s = engines_[e];
-  std::vector<std::shared_ptr<txn::Transaction>> batch;
-  std::unordered_set<uint32_t> used;
-  const auto admissible = [&](uint32_t cls) {
-    return cls == schedule::kColdClass || !used.contains(cls);
-  };
-  const auto take = [&](std::shared_ptr<txn::Transaction> t) {
-    if (t->sched_class != schedule::kColdClass) used.insert(t->sched_class);
-    batch.push_back(std::move(t));
-  };
-  // Deferred work first, oldest first: a draw parked by an earlier batch's
-  // class collision must not starve behind fresh draws.
-  for (auto it = s.deferred.begin();
-       it != s.deferred.end() && batch.size() < batch_;) {
-    if (admissible((*it)->sched_class)) {
-      take(std::move(*it));
-      it = s.deferred.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Fresh draws fill the rest. Collisions are deferred up to a bounded
-  // backlog; past the cap the collision is admitted anyway (the batch
-  // degrades toward legacy behavior instead of deferring unboundedly),
-  // and the draw bound keeps batch formation O(batch) per refill.
-  const size_t defer_cap = static_cast<size_t>(batch_) * 4;
-  for (uint32_t draws = 0; batch.size() < batch_ && draws < batch_ * 4;
-       ++draws) {
-    std::shared_ptr<txn::Transaction> t = driver_->Draw(e);
-    t->sched_class = sched->Classify(*t);
-    if (admissible(t->sched_class)) {
-      take(std::move(t));
-    } else if (s.deferred.size() < defer_cap) {
-      s.deferred.push_back(std::move(t));
-    } else {
-      take(std::move(t));
-    }
-  }
-  // Progress is structural: an empty `used` set admits any first draw (or
-  // any first deferred entry), so a batch is never empty.
-  CHILLER_CHECK(!batch.empty());
-  s.outstanding = static_cast<uint32_t>(batch.size());
-  for (std::shared_ptr<txn::Transaction>& t : batch) {
-    driver_->LaunchRouted(e, std::move(t));
-  }
-}
-
-void Batched::OnSlotFree(EngineId e, const txn::Transaction& t) {
-  if (t.outcome == txn::Outcome::kAbortConflict) {
-    RetryAfterBackoff(e, t);  // the retry stays a member of its batch
-    return;
-  }
-  EngineState& s = engines_[e];
-  CHILLER_DCHECK(s.outstanding > 0);
-  if (--s.outstanding == 0) LaunchBatch(e);
-}
-
-// ---------------------------------------------------------------------------
 // Factory
 // ---------------------------------------------------------------------------
 
@@ -426,15 +311,8 @@ Status ValidateLoadModelParams(const std::string& name,
     }
     return Status::OK();
   }
-  if (name == "batched") {
-    if (params.batch_size == 0) {
-      return Status::InvalidArgument(
-          "batched load model needs batch_size >= 1");
-    }
-    return Status::OK();
-  }
   return Status::InvalidArgument("unknown load model '" + name +
-                                 "' (known: closed, open, batched)");
+                                 "' (known: closed, open)");
 }
 
 StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
@@ -445,20 +323,13 @@ StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
     return std::unique_ptr<LoadModel>(
         std::make_unique<ClosedLoop>(params.slots_per_engine));
   }
-  if (name == "open") {
-    OpenLoopOptions o;
-    o.offered_tps = params.offered_tps;
-    o.arrival = params.arrival;
-    o.slots_per_engine = params.slots_per_engine;
-    o.queue_cap = params.queue_cap;
-    o.seed = params.seed;
-    auto policy = schedule::ParseShedPolicy(params.shed_policy);
-    if (!policy.ok()) return policy.status();
-    o.shed_policy = policy.value();
-    return std::unique_ptr<LoadModel>(std::make_unique<OpenLoop>(o));
-  }
-  return std::unique_ptr<LoadModel>(
-      std::make_unique<Batched>(params.batch_size));
+  OpenLoopOptions o;
+  o.offered_tps = params.offered_tps;
+  o.arrival = params.arrival;
+  o.slots_per_engine = params.slots_per_engine;
+  o.queue_cap = params.queue_cap;
+  o.seed = params.seed;
+  return std::unique_ptr<LoadModel>(std::make_unique<OpenLoop>(o));
 }
 
 }  // namespace chiller::cc

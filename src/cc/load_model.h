@@ -16,12 +16,8 @@
 //               counted. Queueing delay is measured separately from
 //               execution latency, which makes latency-vs-throughput knees
 //               observable (the closed loop can never show one).
-//   Batched     group-commit style admission: each engine runs transactions
-//               in fixed-size batches and refills only when the whole batch
-//               has settled, amortizing slot refill (the ROADMAP's
-//               batch/async driver mode).
 //
-// All three share the Driver's conflict-retry policy (jittered exponential
+// Both share the Driver's conflict-retry policy (jittered exponential
 // backoff, the retried attempt keeps its slot), so protocol comparisons
 // stay apples-to-apples across load models.
 #ifndef CHILLER_CC_LOAD_MODEL_H_
@@ -37,7 +33,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "schedule/scheduler.h"
 
 namespace chiller::cc {
 
@@ -52,7 +47,7 @@ class LoadModel {
 
   virtual const char* name() const = 0;
 
-  /// Arms engine `e`: launches the initial work (closed/batched) or the
+  /// Arms engine `e`: launches the initial work (closed) or the
   /// arrival clock (open). Called once per engine by Driver::Start() and
   /// again by Resume() after a Quiesce() drained everything in flight.
   virtual void StartEngine(EngineId e) = 0;
@@ -120,10 +115,6 @@ struct OpenLoopOptions {
   /// Seed for the per-engine arrival clocks (independent of the workload
   /// RNG so arrival times do not depend on transaction parameters).
   uint64_t seed = 1;
-  /// Overflow behavior of the *scheduled* admission queue (ignored on the
-  /// legacy path, which always sheds the arrival): see
-  /// schedule::ShedPolicy.
-  schedule::ShedPolicy shed_policy = schedule::ShedPolicy::kDropNew;
 };
 
 /// Open loop: arrivals at a fixed offered rate, a bounded admission queue,
@@ -150,13 +141,10 @@ class OpenLoop final : public LoadModel {
   /// One waiting request on the scheduled path. Unlike the legacy queue
   /// (timestamps only — the transaction is drawn at launch), scheduled
   /// admission draws at arrival so the scheduler can classify and steer;
-  /// the drawn transaction waits here. `counted` remembers whether this
-  /// admission landed in the current stats window, so a later shed-policy
-  /// eviction can take exactly that admission back.
+  /// the drawn transaction waits here.
   struct ScheduledRequest {
     std::shared_ptr<txn::Transaction> txn;
     SimTime enqueued = 0;
-    bool counted = false;
   };
 
   struct EngineState {
@@ -164,8 +152,8 @@ class OpenLoop final : public LoadModel {
     uint32_t free_slots = 0;
     std::deque<SimTime> queue;   ///< legacy: admission times of waiters
     std::deque<ScheduledRequest> sched_queue;  ///< scheduled path only
-    /// In-flight count per non-cold conflict class (class-serialized
-    /// admission under a SerializeClasses scheduler). A retry keeps its
+    /// In-flight count per non-cold conflict class (an installed scheduler
+    /// serializes each non-cold class per engine). A retry keeps its
     /// slot and its class; release happens when the logical transaction
     /// settles.
     std::unordered_map<uint32_t, uint32_t> inflight_classes;
@@ -181,7 +169,7 @@ class OpenLoop final : public LoadModel {
 
   // --- scheduled path (driver()->scheduler() != nullptr) ------------------
   /// Admits `t` on engine `e`: launch if a slot is free and its class is
-  /// admissible, else queue, else run the shed policy. Runs in e's event
+  /// admissible, else queue, else shed the arrival. Runs in e's event
   /// domain (steered arrivals get here through the fabric).
   void AdmitScheduled(EngineId e, std::shared_ptr<txn::Transaction> t);
   /// Launches queued requests whose class is admissible while slots are
@@ -200,35 +188,6 @@ class OpenLoop final : public LoadModel {
   std::vector<EngineState> engines_;
 };
 
-/// Batched admission: each engine launches `batch_size` transactions at
-/// once and refills only when all of them (including their conflict
-/// retries) have settled.
-class Batched final : public LoadModel {
- public:
-  explicit Batched(uint32_t batch_size);
-
-  const char* name() const override { return "batched"; }
-  void StartEngine(EngineId e) override;
-  void OnSlotFree(EngineId e, const txn::Transaction& t) override;
-
- private:
-  struct EngineState {
-    uint32_t outstanding = 0;
-    /// batch-pack: draws whose conflict class already appears in the batch
-    /// under formation wait here for a later batch (oldest first).
-    std::deque<std::shared_ptr<txn::Transaction>> deferred;
-  };
-
-  void LaunchBatch(EngineId e);
-  /// Conflict-free batch formation under a classifying scheduler: oldest
-  /// deferred transactions first, then fresh draws, never two members of
-  /// the same non-cold class per batch.
-  void LaunchPackedBatch(EngineId e);
-
-  uint32_t batch_;
-  std::vector<EngineState> engines_;
-};
-
 /// Declarative load-model parameters, the union of every model's knobs
 /// (each model reads only its own; see ScenarioSpec for the field docs).
 struct LoadModelParams {
@@ -236,11 +195,6 @@ struct LoadModelParams {
   double offered_tps = 0.0;
   std::string arrival = "poisson";
   uint32_t queue_cap = 64;
-  uint32_t batch_size = 8;
-  /// open + scheduler: overflow policy of the scheduled admission queue
-  /// ("drop-new", "drop-cold", "drop-hot"); validated by
-  /// schedule::ValidateSchedulerParams, not here.
-  std::string shed_policy = "drop-new";
   uint64_t seed = 1;
 };
 
@@ -248,12 +202,12 @@ struct LoadModelParams {
 /// MakeLoadModel, ScenarioRunner::Validate, and bench flag parsing:
 /// InvalidArgument on an unknown name or parameters degenerate for the
 /// chosen model (open needs offered_tps > 0, queue_cap >= 1, and a known
-/// arrival process; batched needs batch_size >= 1).
+/// arrival process).
 Status ValidateLoadModelParams(const std::string& name,
                                const LoadModelParams& params);
 
-/// Builds a load model by registry-style name: "closed", "open", or
-/// "batched", after ValidateLoadModelParams.
+/// Builds a load model by registry-style name, "closed" or "open", after
+/// ValidateLoadModelParams.
 StatusOr<std::unique_ptr<LoadModel>> MakeLoadModel(
     const std::string& name, const LoadModelParams& params);
 

@@ -49,7 +49,7 @@ struct RunStats {
   SimTime window = 0;  ///< measurement window length, ns
 
   // Open-loop load-model accounting (see cc/load_model.h). All zero under
-  // the closed-loop and batched models, which have no admission queue.
+  // the closed-loop model, which has no admission queue.
   /// True when the run was driven through an admission queue (the driver
   /// marks it from LoadModel::UsesAdmissionQueue); reports key the queue
   /// fields off this, not off the counters, so a window with no arrivals
@@ -69,11 +69,6 @@ struct RunStats {
     return offered == 0 ? 0.0
                         : static_cast<double>(shed) /
                               static_cast<double>(offered);
-  }
-
-  void EnsureClass(uint32_t cls, const std::string& name) {
-    if (classes.size() <= cls) classes.resize(cls + 1);
-    if (classes[cls].name.empty()) classes[cls].name = name;
   }
 
   /// Bounds-safe class lookup: null when the class never ran in the window

@@ -103,10 +103,10 @@ Status ScenarioRunner::Validate(const ScenarioSpec& spec) {
                                              spec.MakeLoadModelParams());
   if (!lm_st.ok()) return lm_st;
   // Same single-source rule for the admission scheduler: an unknown
-  // scheduler or shed policy, or a scheduler/load-model mismatch, fails
-  // here with an actionable message instead of falling through.
-  Status sched_st = schedule::ValidateSchedulerParams(
-      spec.scheduler, spec.shed_policy, spec.load_model);
+  // scheduler, or a scheduler/load-model mismatch, fails here with an
+  // actionable message instead of falling through.
+  Status sched_st =
+      schedule::ValidateSchedulerParams(spec.scheduler, spec.load_model);
   if (!sched_st.ok()) return sched_st;
   if (spec.relayout_buckets == 0) {
     return Status::InvalidArgument("relayout_buckets must be >= 1");
@@ -284,7 +284,7 @@ StatusOr<ScenarioResult> ScenarioRunner::Run(const ScenarioSpec& spec) {
   auto finish = [&]() -> ScenarioResult {
     result.stats = driver->stats();
     result.trace = env->cluster->shared_trace();
-    driver->DrainAndStop();
+    driver->Quiesce();
     result.wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - wall_start)
                          .count();

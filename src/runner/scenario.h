@@ -89,8 +89,8 @@ struct ScenarioSpec {
   uint32_t concurrency = 4;
 
   // Load model (see cc/load_model.h): how work is offered to the engines.
-  /// "closed" (default, the paper's closed loop), "open" (offered-load
-  /// arrivals + bounded admission queue), or "batched" (group admission).
+  /// "closed" (default, the paper's closed loop) or "open" (offered-load
+  /// arrivals + bounded admission queue).
   std::string load_model = "closed";
   /// open: cluster-wide offered load, txns per simulated second, split
   /// evenly across engines. Required > 0 when load_model == "open".
@@ -100,21 +100,15 @@ struct ScenarioSpec {
   /// open: bounded per-engine admission queue; arrivals beyond it are shed
   /// (counted in RunStats::shed).
   uint32_t queue_cap = 64;
-  /// batched: transactions admitted per engine batch.
-  uint32_t batch_size = 8;
 
   // Admission scheduler (see schedule/scheduler.h): which transaction is
   // admitted where, ahead of the load model's when.
-  /// Registry key: "fifo" (default, byte-identical to no scheduler),
-  /// "hash-affinity" (open model), "batch-pack" (batched model).
+  /// Registry key: "fifo" (default, byte-identical to no scheduler) or
+  /// "hash-affinity" (open model).
   std::string scheduler = "fifo";
   /// Conflict-class universe size for classifying schedulers; 0 = a
   /// default large enough that distinct hot records rarely share a class.
   uint32_t sched_classes = 0;
-  /// Overflow policy of the scheduled admission queue: "drop-new"
-  /// (legacy: shed the arrival), "drop-cold", or "drop-hot". Non-default
-  /// values need a classifying scheduler.
-  std::string shed_policy = "drop-new";
 
   /// Base RNG seed: the whole scenario is a pure function of the spec.
   uint64_t seed = 1;
@@ -212,8 +206,6 @@ struct ScenarioSpec {
             .offered_tps = offered_tps,
             .arrival = arrival,
             .queue_cap = queue_cap,
-            .batch_size = batch_size,
-            .shed_policy = shed_policy,
             .seed = seed};
   }
 

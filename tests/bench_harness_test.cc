@@ -103,12 +103,28 @@ TEST(BenchFlagsTest, RejectsUnknownFlagAndBadValues) {
   EXPECT_TRUE(Parse({"--jobs=banana"}, &f).IsInvalidArgument());
 }
 
+TEST(BenchFlagsTest, RemovedAdmissionFlagsAreUnknown) {
+  // --batch-size, --shed-policy and --list-shed-policies went with the
+  // batched load model and the shed policies: each is an unknown flag.
+  for (const char* flag :
+       {"--batch-size=8", "--shed-policy=drop-new", "--list-shed-policies"}) {
+    BenchFlags f;
+    const Status st = Parse({flag}, &f);
+    ASSERT_TRUE(st.IsInvalidArgument()) << flag;
+    EXPECT_NE(st.message().find("unknown flag"), std::string::npos) << flag;
+  }
+  const std::string usage = UsageString("fig9");
+  EXPECT_EQ(usage.find("--batch-size"), std::string::npos);
+  EXPECT_EQ(usage.find("--shed-policy"), std::string::npos);
+  EXPECT_EQ(usage.find("batched"), std::string::npos);
+}
+
 TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
   const std::string usage = UsageString("fig9");
   for (const char* flag :
        {"--protocol", "--nodes", "--engines", "--concurrency", "--warmup-ms",
         "--duration-ms", "--theta", "--seed", "--load-model", "--offered-tps",
-        "--arrival", "--queue-cap", "--batch-size", "--jobs", "--json",
+        "--arrival", "--queue-cap", "--jobs", "--json",
         "--no-json", "--list-protocols", "--list-workloads", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
@@ -117,15 +133,13 @@ TEST(BenchFlagsTest, UsageMentionsEveryFlag) {
 TEST(BenchFlagsTest, LoadModelFlagsParseAndApply) {
   BenchFlags f;
   ASSERT_TRUE(Parse({"--load-model=open", "--offered-tps=250000",
-                     "--arrival=uniform", "--queue-cap=16",
-                     "--batch-size=32"},
+                     "--arrival=uniform", "--queue-cap=16"},
                     &f)
                   .ok());
   EXPECT_EQ(f.load_model, "open");
   EXPECT_DOUBLE_EQ(f.offered_tps, 250000.0);
   EXPECT_EQ(f.arrival, "uniform");
   EXPECT_EQ(f.queue_cap, 16u);
-  EXPECT_EQ(f.batch_size, 32u);
 
   runner::ScenarioSpec spec;
   ApplyLoadModelFlags(f, &spec);
@@ -133,7 +147,6 @@ TEST(BenchFlagsTest, LoadModelFlagsParseAndApply) {
   EXPECT_DOUBLE_EQ(spec.offered_tps, 250000.0);
   EXPECT_EQ(spec.arrival, "uniform");
   EXPECT_EQ(spec.queue_cap, 16u);
-  EXPECT_EQ(spec.batch_size, 32u);
 }
 
 TEST(BenchFlagsTest, LoadModelFlagsAreValidated) {

@@ -146,7 +146,7 @@ TEST_P(ProtocolInvariantTest, FlightWorkloadConservesState) {
   const uint32_t nodes = 4, replication = 2;
   Env env = MakeEnv(GetParam(), nodes, /*concurrency=*/2, replication);
   cc::RunStats stats = env.driver->Run(2 * kMillisecond, 20 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   EXPECT_GT(stats.TotalCommits(), 100u);
   CheckInvariants(env, nodes, replication);
 }
@@ -155,7 +155,7 @@ TEST_P(ProtocolInvariantTest, HighConcurrencyStillConserves) {
   const uint32_t nodes = 3, replication = 2;
   Env env = MakeEnv(GetParam(), nodes, /*concurrency=*/6, replication);
   env.driver->Run(1 * kMillisecond, 10 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   CheckInvariants(env, nodes, replication);
 }
 
@@ -163,7 +163,7 @@ TEST_P(ProtocolInvariantTest, NoReplicationConfigWorks) {
   const uint32_t nodes = 3, replication = 1;
   Env env = MakeEnv(GetParam(), nodes, /*concurrency=*/2, replication);
   cc::RunStats stats = env.driver->Run(1 * kMillisecond, 10 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   EXPECT_GT(stats.TotalCommits(), 50u);
   CheckInvariants(env, nodes, replication);
 }
@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolInvariantTest,
 TEST(ChillerProtocolTest, UsesTwoRegionExecutionForHotTxns) {
   Env env = MakeEnv("chiller");
   env.driver->Run(1 * kMillisecond, 10 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   auto* chiller = static_cast<core::ChillerProtocol*>(env.protocol.get());
   EXPECT_GT(chiller->counters().two_region_txns, 0u);
   EXPECT_GT(chiller->counters().fallback_txns, 0u);  // cold bookings
@@ -191,7 +191,7 @@ TEST(ChillerProtocolTest, UsesTwoRegionExecutionForHotTxns) {
 TEST(ChillerProtocolTest, DisabledTwoRegionNeverPlans) {
   Env env = MakeEnv("chiller-plain");
   env.driver->Run(1 * kMillisecond, 5 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   auto* chiller = static_cast<core::ChillerProtocol*>(env.protocol.get());
   EXPECT_EQ(chiller->counters().two_region_txns, 0u);
   EXPECT_GT(chiller->counters().fallback_txns, 0u);
@@ -205,8 +205,8 @@ TEST(ChillerProtocolTest, LowerAbortRateThanTwoPlUnderContention) {
   Env chiller = MakeEnv("chiller", 4, /*concurrency=*/4);
   auto s2 = twopl.driver->Run(2 * kMillisecond, 30 * kMillisecond);
   auto sc = chiller.driver->Run(2 * kMillisecond, 30 * kMillisecond);
-  twopl.driver->DrainAndStop();
-  chiller.driver->DrainAndStop();
+  twopl.driver->Quiesce();
+  chiller.driver->Quiesce();
   EXPECT_LT(sc.AbortRate(), s2.AbortRate());
   EXPECT_GT(sc.Throughput(), s2.Throughput());
 }
@@ -214,7 +214,7 @@ TEST(ChillerProtocolTest, LowerAbortRateThanTwoPlUnderContention) {
 TEST(DriverTest, RetriesEventuallyCommit) {
   Env env = MakeEnv("2pl", 3, /*concurrency=*/3);
   auto stats = env.driver->Run(1 * kMillisecond, 15 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   // Under contention there are conflict aborts, yet commits keep flowing.
   EXPECT_GT(stats.TotalConflictAborts(), 0u);
   EXPECT_GT(stats.TotalCommits(), 100u);
@@ -223,7 +223,7 @@ TEST(DriverTest, RetriesEventuallyCommit) {
 TEST(DriverTest, StatsClassNames) {
   Env env = MakeEnv("2pl");
   auto stats = env.driver->Run(0, 5 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   ASSERT_EQ(stats.classes.size(), 1u);
   EXPECT_EQ(stats.classes[0].name, "book");
   EXPECT_GT(stats.classes[0].latency.count(), 0u);
@@ -232,7 +232,7 @@ TEST(DriverTest, StatsClassNames) {
 TEST(DriverTest, DistributedRatioTracked) {
   Env env = MakeEnv("2pl");
   auto stats = env.driver->Run(0, 5 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   // Random customers/flights over 4 partitions: most bookings span
   // partitions.
   EXPECT_GT(stats.DistributedRatio(), 0.5);
@@ -255,12 +255,12 @@ TEST(LoadModelTest, ExplicitClosedLoopMatchesLegacyConstructor) {
   // same driver, event for event (the Figure 9 baselines depend on it).
   Env legacy = MakeEnv("2pl", 3, /*concurrency=*/3);
   auto a = legacy.driver->Run(kMillisecond, 6 * kMillisecond);
-  legacy.driver->DrainAndStop();
+  legacy.driver->Quiesce();
 
   Env injected = MakeEnv("2pl", 3, /*concurrency=*/3);
   UseModel(&injected, std::make_unique<cc::ClosedLoop>(3));
   auto b = injected.driver->Run(kMillisecond, 6 * kMillisecond);
-  injected.driver->DrainAndStop();
+  injected.driver->Quiesce();
 
   EXPECT_EQ(a.TotalCommits(), b.TotalCommits());
   EXPECT_EQ(a.TotalConflictAborts(), b.TotalConflictAborts());
@@ -284,7 +284,7 @@ TEST(LoadModelTest, OpenLoopDeliversTheOfferedRate) {
   o.queue_cap = 16;
   UseModel(&env, std::make_unique<cc::OpenLoop>(o));
   auto stats = env.driver->Run(2 * kMillisecond, 10 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
 
   EXPECT_GT(stats.admitted, 0u);
   EXPECT_EQ(stats.shed, 0u);
@@ -307,7 +307,7 @@ TEST(LoadModelTest, OpenLoopShedsAtAFullQueue) {
   o.queue_cap = 2;
   UseModel(&env, std::make_unique<cc::OpenLoop>(o));
   auto stats = env.driver->Run(kMillisecond, 8 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
 
   EXPECT_GT(stats.shed, 0u);
   EXPECT_GT(stats.admitted, 0u);
@@ -328,29 +328,22 @@ TEST(LoadModelTest, OpenLoopIsDeterministic) {
     o.seed = 42;
     UseModel(&env, std::make_unique<cc::OpenLoop>(o), /*seed=*/42);
     auto stats = env.driver->Run(kMillisecond, 6 * kMillisecond);
-    env.driver->DrainAndStop();
+    env.driver->Quiesce();
     return std::make_tuple(stats.TotalCommits(), stats.admitted, stats.shed,
                            env.cluster->sim()->events_processed());
   };
   EXPECT_EQ(run(), run());
 }
 
-TEST(LoadModelTest, BatchedAdmitsInBatches) {
-  Env env = MakeEnv("2pl", 2, /*concurrency=*/2);
-  UseModel(&env, std::make_unique<cc::Batched>(/*batch_size=*/8));
-  auto stats = env.driver->Run(kMillisecond, 8 * kMillisecond);
-  env.driver->DrainAndStop();
-  EXPECT_GT(stats.TotalCommits(), 0u);
-  // Batched admission has no queue either.
-  EXPECT_EQ(stats.admitted, 0u);
-  EXPECT_EQ(stats.queue_delay.count(), 0u);
-}
-
 TEST(LoadModelTest, FactoryValidatesParams) {
   cc::LoadModelParams p;
   EXPECT_TRUE(cc::MakeLoadModel("closed", p).ok());
-  EXPECT_TRUE(cc::MakeLoadModel("batched", p).ok());
   EXPECT_TRUE(cc::MakeLoadModel("nope", p).status().IsInvalidArgument());
+  // The batched model was removed; its name is now just unknown, and the
+  // message names what remains.
+  const Status batched = cc::MakeLoadModel("batched", p).status();
+  EXPECT_TRUE(batched.IsInvalidArgument());
+  EXPECT_NE(batched.message().find("closed, open"), std::string::npos);
 
   // Open needs a positive offered rate and a non-degenerate queue.
   EXPECT_TRUE(cc::MakeLoadModel("open", p).status().IsInvalidArgument());
@@ -363,8 +356,6 @@ TEST(LoadModelTest, FactoryValidatesParams) {
   EXPECT_TRUE(cc::MakeLoadModel("open", p).status().IsInvalidArgument());
   p.arrival = "uniform";
   EXPECT_TRUE(cc::MakeLoadModel("open", p).ok());
-  p.batch_size = 0;
-  EXPECT_TRUE(cc::MakeLoadModel("batched", p).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ Fingerprint RunFlight(const std::string& proto, uint64_t seed) {
   }
   cc::Driver driver(&cluster, protocol.get(), &workload, 3, seed);
   auto stats = driver.Run(1 * kMillisecond, 8 * kMillisecond);
-  driver.DrainAndStop();
+  driver.Quiesce();
   uint64_t users = 0;
   for (const auto& c : stats.classes) users += c.user_aborts;
   return Fingerprint{stats.TotalCommits(), stats.TotalConflictAborts(), users,
@@ -106,7 +106,7 @@ TEST(DeterminismTest, TpccRunReproduces) {
     core::ChillerProtocol protocol(&cluster, &partitioner, &repl);
     cc::Driver driver(&cluster, &protocol, &workload, 3, 7);
     auto stats = driver.Run(1 * kMillisecond, 6 * kMillisecond);
-    driver.DrainAndStop();
+    driver.Quiesce();
     return std::make_pair(stats.TotalCommits(),
                           cluster.sim()->events_processed());
   };
@@ -209,10 +209,10 @@ std::vector<runner::ScenarioSpec> AdaptiveSweep() {
   return specs;
 }
 
-/// Open-loop and batched specs over two offered rates (one of them an
-/// overload that sheds): the arrival clocks, the admission queue, and the
-/// shed accounting must all stay pure functions of the spec regardless of
-/// which worker thread runs the scenario.
+/// Open-loop specs over two offered rates (one of them an overload that
+/// sheds): the arrival clocks, the admission queue, and the shed
+/// accounting must all stay pure functions of the spec regardless of which
+/// worker thread runs the scenario.
 std::vector<runner::ScenarioSpec> LoadModelSweep() {
   std::vector<runner::ScenarioSpec> specs;
   for (double offered : {40000.0, 4000000.0}) {
@@ -237,19 +237,6 @@ std::vector<runner::ScenarioSpec> LoadModelSweep() {
       }
     }
   }
-  runner::ScenarioSpec batched;
-  batched.workload = "ycsb";
-  batched.protocol = "2pl";
-  batched.nodes = 2;
-  batched.engines_per_node = 1;
-  batched.concurrency = 2;
-  batched.seed = 23;
-  batched.warmup = kMillisecond;
-  batched.measure = 3 * kMillisecond;
-  batched.options.Set("keys_per_partition", 1000);
-  batched.load_model = "batched";
-  batched.batch_size = 6;
-  specs.push_back(std::move(batched));
   return specs;
 }
 
@@ -441,23 +428,20 @@ TEST(ShardDeterminismTest, ClosedLoopShardsTimesJobsAreByteIdentical) {
 
 TEST(ShardDeterminismTest, OpenLoopShardsTimesJobsAreByteIdentical) {
   // The seed-5 slice: poisson + uniform arrivals at both offered rates
-  // (one of them shedding), plus the batched spec.
+  // (one of them shedding).
   std::vector<runner::ScenarioSpec> base;
   for (auto& spec : LoadModelSweep()) {
-    if (spec.seed == 5 || spec.load_model == "batched") {
-      base.push_back(std::move(spec));
-    }
+    if (spec.seed == 5) base.push_back(std::move(spec));
   }
   ASSERT_FALSE(base.empty());
   ExpectShardInvariance(base, SweepFingerprint);
 }
 
 /// Scheduled admission (schedule/scheduler.h): classification, cross-engine
-/// steering through the fabric, class-serialized admission, and the
-/// temperature-aware shed policies must all stay pure functions of the
-/// spec. The grid covers hash-affinity under the open model (a light point,
-/// plus an overload point where drop-cold evicts queued work) and
-/// batch-pack under the batched model.
+/// steering through the fabric, class-serialized admission, and shedding
+/// at a full queue must all stay pure functions of the spec. The grid
+/// covers hash-affinity under the open model at a light point and at an
+/// overload point that sheds.
 std::vector<runner::ScenarioSpec> SchedulerSweep() {
   std::vector<runner::ScenarioSpec> specs;
   for (double offered : {60000.0, 4000000.0}) {
@@ -476,24 +460,8 @@ std::vector<runner::ScenarioSpec> SchedulerSweep() {
     spec.offered_tps = offered;
     spec.queue_cap = 6;
     spec.scheduler = "hash-affinity";
-    if (offered > 1000000.0) spec.shed_policy = "drop-cold";
     specs.push_back(std::move(spec));
   }
-  runner::ScenarioSpec packed;
-  packed.workload = "ycsb";
-  packed.protocol = "2pl";
-  packed.nodes = 2;
-  packed.engines_per_node = 2;
-  packed.concurrency = 3;
-  packed.seed = 13;
-  packed.warmup = kMillisecond;
-  packed.measure = 3 * kMillisecond;
-  packed.options.Set("keys_per_partition", 1000);
-  packed.options.Set("theta", 0.99);
-  packed.load_model = "batched";
-  packed.batch_size = 6;
-  packed.scheduler = "batch-pack";
-  specs.push_back(std::move(packed));
   return specs;
 }
 

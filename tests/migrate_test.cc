@@ -442,7 +442,7 @@ TEST(LiveMigratorTest, ConservationAndSingleResidencyHoldMidMigration) {
   EXPECT_GT(driver->lifetime_commits(), commits_before)
       << "no commits during the live relayout: migration stopped the world";
 
-  driver->DrainAndStop();
+  driver->Quiesce();
   EXPECT_EQ(cluster->TotalPrimaryRecords(), initial_records);
 }
 
@@ -473,7 +473,7 @@ TEST(LiveMigratorTest, BlockedTransactionsUseTheMigrationAbortClass) {
     ASSERT_LT(++steps, 100000);
   }
   EXPECT_GT(driver->lifetime_migration_aborts(), 0u);
-  driver->DrainAndStop();
+  driver->Quiesce();
 }
 
 TEST(LiveMigratorTest, EmptyPlanSwapsLayoutImmediately) {
@@ -548,7 +548,7 @@ TEST(LiveMigratorTest, ConcurrentStreamsPreserveConservationAndResidency) {
     }
   }
   EXPECT_FALSE(cluster->bucket_locks()->epoch_active());
-  driver->DrainAndStop();
+  driver->Quiesce();
   EXPECT_EQ(cluster->TotalPrimaryRecords(), initial_records);
 }
 
@@ -888,7 +888,8 @@ TEST(AdaptiveTpccTest, QuiescedPathWorksToo) {
 
 TEST(MigrationReportTest, AbortFieldOnlyAppearsWhenTheGateFired) {
   cc::RunStats stats;
-  stats.EnsureClass(0, "T");
+  stats.classes.resize(1);
+  stats.classes[0].name = "T";
   stats.classes[0].commits = 10;
   stats.window = kMillisecond;
   Json quiet = bench::ResultRow("chiller", Json::MakeObject(), stats);

@@ -157,13 +157,26 @@ TEST(ScenarioRunnerTest, ValidateChecksLoadModelKnobs) {
   spec.queue_cap = 8;
   spec.arrival = "bursty";
   EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
+}
+
+TEST(ScenarioRunnerTest, ValidateRejectsRemovedAdmissionPaths) {
+  // The batched load model and the batch-pack scheduler were removed; a
+  // spec naming either fails validation, and the message lists what
+  // remains.
+  ScenarioSpec spec = SmallYcsb();
+  spec.load_model = "batched";
+  Status st = ScenarioRunner::Validate(spec);
+  ASSERT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("closed, open"), std::string::npos)
+      << st.message();
 
   spec = SmallYcsb();
-  spec.load_model = "batched";
-  spec.batch_size = 0;
-  EXPECT_TRUE(ScenarioRunner::Validate(spec).IsInvalidArgument());
-  spec.batch_size = 4;
-  EXPECT_TRUE(ScenarioRunner::Validate(spec).ok());
+  spec.scheduler = "batch-pack";
+  st = ScenarioRunner::Validate(spec);
+  ASSERT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("fifo"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("hash-affinity"), std::string::npos)
+      << st.message();
 }
 
 TEST(ScenarioRunnerTest, WireExposesUsableEnv) {
@@ -173,7 +186,7 @@ TEST(ScenarioRunnerTest, WireExposesUsableEnv) {
   EXPECT_GT(env->cluster->TotalPrimaryRecords(), 0u);
   ASSERT_NE(env->protocol, nullptr);
   auto stats = env->driver->Run(kMillisecond, 2 * kMillisecond);
-  env->driver->DrainAndStop();
+  env->driver->Quiesce();
   EXPECT_GT(stats.TotalCommits(), 0u);
 }
 
@@ -457,16 +470,6 @@ TEST(LoadModelScenarioTest, OpenLoopOverloadShedsAndBoundsTheQueue) {
   // Delivered throughput is capacity-bound, far under the offered rate.
   EXPECT_LT(stats.Throughput(), spec.offered_tps * 0.5);
   EXPECT_GT(stats.TotalCommits(), 0u);
-}
-
-TEST(LoadModelScenarioTest, BatchedModelRunsThroughTheRunner) {
-  ScenarioSpec spec = SmallYcsb();
-  spec.load_model = "batched";
-  spec.batch_size = 4;
-  auto result = ScenarioRunner::Run(spec);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->stats.TotalCommits(), 0u);
-  EXPECT_EQ(result->stats.admitted, 0u);  // no admission queue
 }
 
 TEST(LoadModelScenarioTest, OpenLoopSurvivesQuiesceAndMigrate) {

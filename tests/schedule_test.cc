@@ -1,7 +1,7 @@
 // Tests for the admission-scheduling stage (schedule/scheduler.h): the
-// registry, classification and routing of the built-in policies, the shed
-// victim rule, validation plumbing, and the end-to-end behavior of
-// scheduled admission under the open and batched load models.
+// registry, classification and routing of the built-in policies,
+// validation plumbing, and the end-to-end behavior of scheduled admission
+// under the open load model.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -64,9 +64,10 @@ std::unique_ptr<Scheduler> MustMake(const std::string& name,
 
 TEST(SchedulerRegistryTest, BuiltinsAreRegistered) {
   auto& registry = SchedulerRegistry::Global();
-  for (const char* name : {"fifo", "hash-affinity", "batch-pack"}) {
+  for (const char* name : {"fifo", "hash-affinity"}) {
     EXPECT_TRUE(registry.Has(name)) << name;
   }
+  EXPECT_FALSE(registry.Has("batch-pack"));
 }
 
 TEST(SchedulerRegistryTest, UnknownNameListsAlternatives) {
@@ -83,15 +84,13 @@ TEST(SchedulerRegistryTest, FifoNeedsNoPartitioner) {
   auto sched = SchedulerRegistry::Global().Make("fifo", SchedulerContext{});
   ASSERT_TRUE(sched.ok()) << sched.status().ToString();
   EXPECT_TRUE(sched.value()->Passthrough());
-  EXPECT_FALSE(sched.value()->SerializeClasses());
 }
 
 TEST(SchedulerRegistryTest, HeatPoliciesRequireAPartitioner) {
-  for (const char* name : {"hash-affinity", "batch-pack"}) {
-    auto sched = SchedulerRegistry::Global().Make(name, SchedulerContext{});
-    ASSERT_FALSE(sched.ok()) << name;
-    EXPECT_TRUE(sched.status().IsInvalidArgument()) << name;
-  }
+  auto sched =
+      SchedulerRegistry::Global().Make("hash-affinity", SchedulerContext{});
+  ASSERT_FALSE(sched.ok());
+  EXPECT_TRUE(sched.status().IsInvalidArgument());
 }
 
 TEST(SchedulerRegistryTest, DuplicateRegistrationIsRejected) {
@@ -171,7 +170,6 @@ TEST_F(ClassifyTest, ClassUniverseIsConfigurable) {
 
 TEST_F(ClassifyTest, HashAffinityRoutesHotWorkToTheOwnerEngine) {
   auto sched = MustMake("hash-affinity", TestContext(&part_));
-  EXPECT_TRUE(sched->SerializeClasses());
   for (Key hot : {Key{0}, Key{100}, Key{201}, Key{300}}) {
     const txn::Transaction t = MakeTxn({{hot, true}, {50, false}});
     const uint32_t cls = sched->Classify(t);
@@ -192,87 +190,24 @@ TEST_F(ClassifyTest, ColdWorkStaysOnItsArrivalEngine) {
   }
 }
 
-TEST_F(ClassifyTest, BatchPackClassifiesButNeverSteers) {
-  auto sched = MustMake("batch-pack", TestContext(&part_));
-  EXPECT_FALSE(sched->SerializeClasses());
-  const txn::Transaction hot = MakeTxn({{200, true}});
-  EXPECT_NE(sched->Classify(hot), kColdClass);
-  for (EngineId arrival = 0; arrival < 4; ++arrival) {
-    EXPECT_EQ(sched->Route(hot, sched->Classify(hot), arrival), arrival);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shed policy
-// ---------------------------------------------------------------------------
-
-TEST(ShedPolicyTest, ParseAndName) {
-  EXPECT_EQ(ParseShedPolicy("drop-new").value(), ShedPolicy::kDropNew);
-  EXPECT_EQ(ParseShedPolicy("drop-cold").value(), ShedPolicy::kDropCold);
-  EXPECT_EQ(ParseShedPolicy("drop-hot").value(), ShedPolicy::kDropHot);
-  EXPECT_STREQ(ShedPolicyName(ShedPolicy::kDropCold), "drop-cold");
-  auto bad = ParseShedPolicy("drop-everything");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("drop-cold"), std::string::npos);
-}
-
-TEST(ShedPolicyTest, DropNewAlwaysShedsTheArrival) {
-  EXPECT_EQ(PickVictim({false, true, false}, true, ShedPolicy::kDropNew), -1);
-  EXPECT_EQ(PickVictim({false, true, false}, false, ShedPolicy::kDropNew),
-            -1);
-  EXPECT_EQ(PickVictim({}, true, ShedPolicy::kDropNew), -1);
-}
-
-TEST(ShedPolicyTest, DropColdEvictsTheNewestColdForAHotArrival) {
-  // queue (oldest..newest): cold hot cold — the newest cold entry goes.
-  EXPECT_EQ(PickVictim({false, true, false}, true, ShedPolicy::kDropCold), 2);
-  EXPECT_EQ(PickVictim({false, true, true}, true, ShedPolicy::kDropCold), 0);
-  // A cold arrival never displaces anyone under drop-cold.
-  EXPECT_EQ(PickVictim({false, true, false}, false, ShedPolicy::kDropCold),
-            -1);
-  // No cold entry to evict: the hot arrival is shed.
-  EXPECT_EQ(PickVictim({true, true}, true, ShedPolicy::kDropCold), -1);
-}
-
-TEST(ShedPolicyTest, DropHotIsTheMirrorImage) {
-  EXPECT_EQ(PickVictim({true, false, true}, false, ShedPolicy::kDropHot), 2);
-  EXPECT_EQ(PickVictim({true, false, true}, true, ShedPolicy::kDropHot), -1);
-  EXPECT_EQ(PickVictim({false, false}, false, ShedPolicy::kDropHot), -1);
-}
-
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerValidationTest, UnknownSchedulerNamesAlternatives) {
-  const Status st = ValidateSchedulerNames("not-a-scheduler", "drop-new");
+  const Status st = ValidateSchedulerName("not-a-scheduler");
   ASSERT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("fifo"), std::string::npos);
 }
 
-TEST(SchedulerValidationTest, UnknownShedPolicyNamesAlternatives) {
-  const Status st = ValidateSchedulerNames("hash-affinity", "drop-all");
-  ASSERT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("drop-cold"), std::string::npos);
-}
-
-TEST(SchedulerValidationTest, TemperatureShedPoliciesNeedAClassifier) {
-  const Status st = ValidateSchedulerNames("fifo", "drop-cold");
-  ASSERT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("hash-affinity"), std::string::npos);
-}
-
 TEST(SchedulerValidationTest, ModelCompatibility) {
+  EXPECT_TRUE(ValidateSchedulerParams("fifo", "closed").ok());
+  EXPECT_TRUE(ValidateSchedulerParams("hash-affinity", "open").ok());
   EXPECT_TRUE(
-      ValidateSchedulerParams("fifo", "drop-new", "closed").ok());
+      ValidateSchedulerParams("hash-affinity", "closed").IsInvalidArgument());
+  // batch-pack was removed: it is an unknown name under any model.
   EXPECT_TRUE(
-      ValidateSchedulerParams("hash-affinity", "drop-cold", "open").ok());
-  EXPECT_TRUE(
-      ValidateSchedulerParams("batch-pack", "drop-new", "batched").ok());
-  EXPECT_TRUE(ValidateSchedulerParams("hash-affinity", "drop-new", "closed")
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ValidateSchedulerParams("batch-pack", "drop-new", "open")
-                  .IsInvalidArgument());
+      ValidateSchedulerParams("batch-pack", "open").IsInvalidArgument());
 }
 
 TEST(SchedulerValidationTest, RunnerValidateRejectsBadSchedulerSpecs) {
@@ -281,10 +216,6 @@ TEST(SchedulerValidationTest, RunnerValidateRejectsBadSchedulerSpecs) {
   Status st = runner::ScenarioRunner::Validate(spec);
   ASSERT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("fifo"), std::string::npos);
-
-  spec = runner::ScenarioSpec{};
-  spec.shed_policy = "drop-everything";
-  EXPECT_TRUE(runner::ScenarioRunner::Validate(spec).IsInvalidArgument());
 
   // hash-affinity on the default closed model: rejected with a pointer to
   // the open model.
@@ -329,66 +260,11 @@ TEST(ScheduledAdmissionTest, HashAffinityCommitsUnderTheOpenModel) {
 TEST(ScheduledAdmissionTest, OverloadShedsAndStillCommits) {
   runner::ScenarioSpec spec = OpenYcsb(/*offered_tps=*/5e6);
   spec.scheduler = "hash-affinity";
-  spec.shed_policy = "drop-cold";
   spec.queue_cap = 4;
   auto result = runner::ScenarioRunner::Run(spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->stats.TotalCommits(), 0u);
   EXPECT_GT(result->stats.shed, 0u);
-}
-
-TEST(ScheduledAdmissionTest, DropColdAndDropHotDiverge) {
-  runner::ScenarioSpec cold = OpenYcsb(/*offered_tps=*/5e6);
-  cold.scheduler = "hash-affinity";
-  cold.shed_policy = "drop-cold";
-  cold.queue_cap = 4;
-  runner::ScenarioSpec hot = cold;
-  hot.shed_policy = "drop-hot";
-  auto cold_result = runner::ScenarioRunner::Run(cold);
-  auto hot_result = runner::ScenarioRunner::Run(hot);
-  ASSERT_TRUE(cold_result.ok()) << cold_result.status().ToString();
-  ASSERT_TRUE(hot_result.ok()) << hot_result.status().ToString();
-  EXPECT_GT(cold_result->stats.shed, 0u);
-  EXPECT_GT(hot_result->stats.shed, 0u);
-  // The policies keep opposite halves of the offered mix, so the committed
-  // mix must differ (both runs share every other knob and the seed).
-  EXPECT_NE(cold_result->stats.TotalCommits(),
-            hot_result->stats.TotalCommits());
-}
-
-TEST(ScheduledAdmissionTest, BatchPackLowersConflictAbortsAtHighSkew) {
-  runner::ScenarioSpec spec;
-  spec.workload = "ycsb";
-  spec.protocol = "2pl";
-  spec.nodes = 2;
-  spec.engines_per_node = 2;
-  spec.concurrency = 4;
-  spec.seed = 5;
-  spec.warmup = kMillisecond;
-  spec.measure = 6 * kMillisecond;
-  spec.load_model = "batched";
-  spec.batch_size = 8;
-  spec.options.Set("keys_per_partition", 1000);
-  spec.options.Set("theta", 0.99);
-  spec.options.Set("distributed_ratio", 0.0);
-  // Single-write transactions make the predicted class *exactly* the
-  // conflict: every write-write collision inside a fifo batch is one
-  // batch-pack provably defers (multi-op transactions can still conflict
-  // through their second-hottest record, which the single-class predictor
-  // deliberately ignores).
-  spec.options.Set("ops_per_txn", 1);
-  spec.options.Set("read_ratio", 0.0);
-
-  auto fifo = runner::ScenarioRunner::Run(spec);
-  spec.scheduler = "batch-pack";
-  auto packed = runner::ScenarioRunner::Run(spec);
-  ASSERT_TRUE(fifo.ok()) << fifo.status().ToString();
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_GT(packed->stats.TotalCommits(), 0u);
-  EXPECT_GT(fifo->stats.TotalConflictAborts(), 0u);
-  // Conflict-free batch formation must show a strict drop at this skew.
-  EXPECT_LT(packed->stats.TotalConflictAborts(),
-            fifo->stats.TotalConflictAborts());
 }
 
 // ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ class TpccProtocolTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(TpccProtocolTest, ConsistencyAfterMixedRun) {
   TpccEnv env = MakeTpccEnv(GetParam(), 4, /*concurrency=*/3);
   auto stats = env.driver->Run(2 * kMillisecond, 25 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   EXPECT_GT(stats.TotalCommits(), 200u);
   // Every class committed at least once.
   for (uint32_t cls = 0; cls < 5; ++cls) {
@@ -278,7 +278,7 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, TpccProtocolTest,
 TEST(TpccChillerTest, WarehouseAndDistrictGoInner) {
   TpccEnv env = MakeTpccEnv("chiller", 4, 2);
   env.driver->Run(1 * kMillisecond, 10 * kMillisecond);
-  env.driver->DrainAndStop();
+  env.driver->Quiesce();
   auto* chiller = static_cast<core::ChillerProtocol*>(env.protocol.get());
   // NewOrder and Payment both touch hot records, so the two-region path
   // must dominate.
@@ -380,7 +380,7 @@ TEST(InstacartTest, StockConservationUnderChiller) {
   core::ChillerProtocol protocol(&cluster, built.partitioner.get(), &repl);
   cc::Driver driver(&cluster, &protocol, &wl, /*concurrent=*/3);
   auto stats = driver.Run(1 * kMillisecond, 15 * kMillisecond);
-  driver.DrainAndStop();
+  driver.Quiesce();
   EXPECT_GT(stats.TotalCommits(), 100u);
 
   // Conservation: total stock decrements == total items in order rows.
