@@ -24,12 +24,16 @@ constexpr size_t kLockReadReq = 48;
 constexpr size_t kLockRespBase = 16;
 constexpr size_t kWriteUnlockRespBase = 16;
 
-/// Finds an earlier access of `t` that holds the lock on the same record.
+/// Finds an earlier access of `t` that owns the same record: it holds the
+/// record's lock, or it piggybacked on its own bucket lock. Matching only
+/// lock holders would let a repeated piggybacked access piggyback again on
+/// a second copy of the record, and one of the two writes would be lost.
 int FindHolder(const Transaction& t, size_t i) {
   const Access& acc = t.accesses[i];
   for (size_t j = 0; j < i; ++j) {
     const Access& prev = t.accesses[j];
-    if (prev.lock_held && prev.key_resolved && prev.rid == acc.rid) {
+    if ((prev.lock_held || prev.bucket_piggyback) && prev.key_resolved &&
+        prev.rid == acc.rid) {
       return static_cast<int>(j);
     }
   }

@@ -115,6 +115,26 @@ TEST_P(BucketCollisionTest, FourKeysOneBucketCommits) {
   EXPECT_EQ(env.cluster->primary(0)->locks_held(), 0u);
 }
 
+TEST_P(BucketCollisionTest, RepeatedKeyAfterPiggybackKeepsBothUpdates) {
+  // Key 2's first update piggybacks on key 1's bucket lock; its second
+  // update must apply to that same buffered image, not to a fresh copy.
+  MiniEnv env = MakeMini(GetParam());
+  auto t = std::make_shared<Transaction>();
+  t->ops = {UpdateKey(1, 5), UpdateKey(2, 7), UpdateKey(2, 11)};
+  t->home = 0;
+  t->InitAccesses();
+  bool done = false;
+  env.protocol->Execute(t, [&] { done = true; });
+  env.cluster->sim()->Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(t->outcome, Outcome::kCommitted);
+  EXPECT_EQ(env.cluster->primary(0)->Find({0, 1})->Get(0), 105);
+  EXPECT_EQ(env.cluster->primary(0)->Find({0, 2})->Get(0), 118);
+  EXPECT_EQ(env.cluster->primary(0)->locks_held(), 0u);
+  EXPECT_EQ(env.cluster->replica(0, 1)->Find({0, 1})->Get(0), 105);
+  EXPECT_EQ(env.cluster->replica(0, 1)->Find({0, 2})->Get(0), 118);
+}
+
 TEST_P(BucketCollisionTest, AbortReleasesEverything) {
   MiniEnv env = MakeMini(GetParam());
   auto t = std::make_shared<Transaction>();
