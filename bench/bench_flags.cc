@@ -222,7 +222,7 @@ Status ParseBenchFlags(int argc, const char* const* argv, BenchFlags* out) {
   Status lm_st = cc::ValidateLoadModelParams(lm_spec.load_model,
                                              lm_spec.MakeLoadModelParams());
   if (!lm_st.ok()) return lm_st;
-  // Names only: benches may pin the load model per grid point (fig9 forces
+  // Name only: benches may pin the load model per grid point (fig9 forces
   // "open" for its latency axis), so scheduler/model compatibility is the
   // runner's per-scenario check, not a flag-time one.
   return schedule::ValidateSchedulerName(out->scheduler);

@@ -25,8 +25,8 @@ Driver::Driver(Cluster* cluster, Protocol* protocol, WorkloadSource* source,
   CHILLER_CHECK(model_ != nullptr);
   for (uint32_t e = 0; e < per_engine_.size(); ++e) {
     per_engine_[e].rng.Seed(seed + 0x9e3779b97f4a7c15ULL * (e + 1));
-    ClearStats(&per_engine_[e]);
   }
+  ResetStats();
   obs::MetricsRegistry* reg = cluster_->metrics();
   m_commits_ = reg->GetCounter("driver.commits");
   m_latency_ns_ = reg->GetCounter("driver.commit_latency_ns");
@@ -290,13 +290,13 @@ void Driver::SetCommitObserver(CommitObserver observer) {
   observer_ = std::move(observer);
 }
 
-void Driver::ClearStats(EngineState* es) const {
-  es->stats = RunStats();
-  es->stats.classes.resize(source_->NumClasses());
-}
-
 void Driver::ResetStats() {
-  for (EngineState& es : per_engine_) ClearStats(&es);
+  for (EngineState& es : per_engine_) {
+    es.stats = RunStats();
+    // Sized once per window so OnDone never grows it; stats() attaches the
+    // class names when it merges.
+    es.stats.classes.resize(source_->NumClasses());
+  }
 }
 
 RunStats Driver::Run(SimTime warmup, SimTime measure) {

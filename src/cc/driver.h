@@ -102,8 +102,7 @@ class Driver {
   void SetCommitObserver(CommitObserver observer);
 
   /// Clears the per-class counters and the load-model accounting
-  /// (admissions, sheds, queueing delay), keeping class names (end of
-  /// warmup).
+  /// (admissions, sheds, queueing delay) at the end of warmup.
   void ResetStats();
 
   /// Toggles whether finished transactions are counted into stats().
@@ -218,10 +217,6 @@ class Driver {
   };
 
   void OnDone(EngineId e, const std::shared_ptr<txn::Transaction>& t);
-
-  /// Clears engine `es`'s window stats, with one unnamed ClassStats per
-  /// workload class; stats() attaches the class names when it merges.
-  void ClearStats(EngineState* es) const;
 
   /// Assigns the logical id and the trace sampling decision on the first
   /// sighting of a transaction (Draw for scheduled admission, Launch

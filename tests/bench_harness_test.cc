@@ -104,8 +104,8 @@ TEST(BenchFlagsTest, RejectsUnknownFlagAndBadValues) {
 }
 
 TEST(BenchFlagsTest, RemovedAdmissionFlagsAreUnknown) {
-  // --batch-size, --shed-policy and --list-shed-policies went with the
-  // batched load model and the shed policies: each is an unknown flag.
+  // There is no batching or shed-policy knob: each of these flags is
+  // unknown, and the usage text does not offer them.
   for (const char* flag :
        {"--batch-size=8", "--shed-policy=drop-new", "--list-shed-policies"}) {
     BenchFlags f;

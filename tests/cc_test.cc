@@ -339,8 +339,7 @@ TEST(LoadModelTest, FactoryValidatesParams) {
   cc::LoadModelParams p;
   EXPECT_TRUE(cc::MakeLoadModel("closed", p).ok());
   EXPECT_TRUE(cc::MakeLoadModel("nope", p).status().IsInvalidArgument());
-  // The batched model was removed; its name is now just unknown, and the
-  // message names what remains.
+  // "batched" is not a load model; the message names the known ones.
   const Status batched = cc::MakeLoadModel("batched", p).status();
   EXPECT_TRUE(batched.IsInvalidArgument());
   EXPECT_NE(batched.message().find("closed, open"), std::string::npos);

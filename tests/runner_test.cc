@@ -160,9 +160,9 @@ TEST(ScenarioRunnerTest, ValidateChecksLoadModelKnobs) {
 }
 
 TEST(ScenarioRunnerTest, ValidateRejectsRemovedAdmissionPaths) {
-  // The batched load model and the batch-pack scheduler were removed; a
-  // spec naming either fails validation, and the message lists what
-  // remains.
+  // There is no batched load model and no batch-pack scheduler: a spec
+  // naming either fails validation, and the message lists the known
+  // choices.
   ScenarioSpec spec = SmallYcsb();
   spec.load_model = "batched";
   Status st = ScenarioRunner::Validate(spec);

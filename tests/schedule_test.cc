@@ -205,7 +205,7 @@ TEST(SchedulerValidationTest, ModelCompatibility) {
   EXPECT_TRUE(ValidateSchedulerParams("hash-affinity", "open").ok());
   EXPECT_TRUE(
       ValidateSchedulerParams("hash-affinity", "closed").IsInvalidArgument());
-  // batch-pack was removed: it is an unknown name under any model.
+  // batch-pack is not a registered scheduler under any model.
   EXPECT_TRUE(
       ValidateSchedulerParams("batch-pack", "open").IsInvalidArgument());
 }
